@@ -1,20 +1,7 @@
 from setuptools import Extension, setup
 
-# The compiled kernels are optional: the package falls back to the pure-Python
-# implementations in wdss._kernels_py when the extension is absent.
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("wdss._kernels", ["src/wdss/_kernels.pyx"])],
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled kernels are optional: when the C compiler is missing or the
+# build fails, the package installs without them and wdss.kernels uses the
+# pure-Python implementations in wdss._kernels_py.
+setup(ext_modules=[Extension("wdss._kernels", ["src/wdss/_kernels.c"],
+                             optional=True)])

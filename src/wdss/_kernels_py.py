@@ -1,13 +1,12 @@
 """Pure-Python kernels: integer max-flow (Dinic) and GF(2^w) matrix rank.
 
-Same interface as the compiled wdss._kernels extension.  These versions
-accept arbitrary-precision integers; the compiled ones are limited to
-capacities fitting in 62 bits (the wrapper in wdss.kernels dispatches).
+The reference implementation, with the interface of the compiled
+wdss._kernels extension.  These versions accept arbitrary-precision
+integers; the compiled max-flow raises OverflowError past 64 bits, and
+wdss.kernels then reruns the problem here.
 """
 
 from collections import deque
-
-BACKEND = "python"
 
 
 def max_flow(n, edges, s, t):

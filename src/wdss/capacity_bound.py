@@ -243,11 +243,6 @@ def adversarial_instance(p: SystemParams, prof: CutProfile):
     return inst, sink_side, dc
 
 
-def adversarial_cut_vertices(g: FlowGraph, sink_side) -> frozenset:
-    """Source side X of the cut given its sink side."""
-    return frozenset(g.vertices - sink_side)
-
-
 @dataclass(frozen=True)
 class CutCaseTerms:
     """Per-round case analysis of a concrete finite cut."""

@@ -1,8 +1,9 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Kernel selection: compiled extension when it is built, pure Python otherwise.
 
-The compiled max-flow works on 62-bit capacities; larger values (possible
-after clearing huge rational denominators) are routed to the pure-Python
-kernel, which uses arbitrary-precision integers.
+The compiled max-flow works on 64-bit integers and raises OverflowError when
+a capacity or the flow does not fit; such problems (possible after clearing
+huge rational denominators) are rerun on the pure-Python kernel, which uses
+arbitrary-precision integers.  Results never depend on the backend.
 """
 
 from . import _kernels_py
@@ -11,15 +12,17 @@ try:
     from . import _kernels  # type: ignore[attr-defined]
     BACKEND = "compiled"
 except ImportError:
-    _kernels = None
+    _kernels = _kernels_py
     BACKEND = "python"
 
-_CAP_LIMIT = 1 << 62
-
-gf_rank = _kernels.gf_rank if _kernels is not None else _kernels_py.gf_rank
+gf_rank = _kernels.gf_rank
 
 
 def max_flow(n, edges, s, t):
-    if _kernels is not None and all(c < _CAP_LIMIT for _, _, c in edges):
+    """(flow, reach) of the max-flow problem; edges is a sequence of
+    (u, v, cap) tuples, read a second time when the compiled kernel
+    overflows."""
+    try:
         return _kernels.max_flow(n, edges, s, t)
-    return _kernels_py.max_flow(n, edges, s, t)
+    except OverflowError:
+        return _kernels_py.max_flow(n, edges, s, t)

@@ -109,6 +109,8 @@ def storage_capacity(p: SystemParams, limit: int | None = None,
     n >= k + 2r); by construction its value equals the closed-form bound.
     """
     require_valid(p)
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     if scope == "adversarial":
         from .capacity_bound import adversarial_instance, c_lb
         inst, _, _ = adversarial_instance(p, c_lb(p).argmin)

@@ -1,17 +1,18 @@
 """Random linear network coding simulation of broadcast repair.
 
-Packets are tracked by their coefficient vectors over GF(2^w) relative to
-the B original file packets (coefficient-only mode; an optional payload can
-ride along for end-to-end demos).  A data collector decodes iff the stacked
-coefficient matrix of its k nodes has rank B.  Every trial is driven by a
-single seed through Python's Mersenne Twister; trial t uses the derived
-seed string "<seed>:<t>" so trials are independent and reproducible.
+Packets are tracked only by their coefficient vectors over GF(2^w)
+relative to the B original file packets.  A data collector decodes iff the
+stacked coefficient matrix of its k nodes has rank B.  Every trial is
+driven by a single seed through Python's Mersenne Twister; trial t uses the
+derived seed string "<seed>:<t>" so trials are independent and
+reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import kernels
 from .model import (DataCollectorSpec, Instance, RepairRound, SystemParams,
@@ -68,6 +69,12 @@ class GF:
                                self.exp, self.log, self.order)
 
 
+@lru_cache(maxsize=None)
+def field(w: int) -> GF:
+    """The shared GF(2^w); its tables are built once per width."""
+    return GF(w)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     params: SystemParams  # alpha and beta must be integers here
@@ -103,16 +110,15 @@ def _combine(gf: GF, packets, coeffs) -> list:
     return out
 
 
-def init_storage(cfg: SimConfig, rng: random.Random) -> dict:
+def init_storage(cfg: SimConfig, rng: random.Random, gf: GF) -> dict:
     """Each of the n nodes stores alpha uniform random coefficient vectors."""
-    gf = GF(cfg.field_w)
     alpha = int(cfg.params.alpha)
     return {j: [_rand_vector(gf, cfg.B, rng) for _ in range(alpha)]
             for j in range(1, cfg.params.n + 1)}
 
 
 def run_repair_round(state: dict, rnd: RepairRound, cfg: SimConfig,
-                     rng: random.Random) -> dict:
+                     rng: random.Random, gf: GF) -> dict:
     """One broadcast repair round.
 
     Each helper emits beta random combinations of its stored packets; the
@@ -120,7 +126,6 @@ def run_repair_round(state: dict, rnd: RepairRound, cfg: SimConfig,
     receptions).  Each newcomer stores alpha random combinations of the
     d*beta received packets.  Failed nodes are dropped.
     """
-    gf = GF(cfg.field_w)
     alpha = int(cfg.params.alpha)
     beta = int(cfg.params.beta)
     for i in sorted(rnd.helpers):
@@ -149,12 +154,11 @@ def collector_rank(state: dict, dc: DataCollectorSpec, gf: GF) -> int:
     return gf.rank(rows)
 
 
-def dc_decodable(state: dict, dc: DataCollectorSpec, B: int,
-                 gf: GF | None = None) -> bool:
-    """True iff the collector's stacked coefficient matrix has rank B."""
+def dc_decodable(state: dict, dc: DataCollectorSpec, B: int, gf: GF) -> bool:
+    """True iff the collector's stacked coefficient matrix, over the field
+    gf the data was coded with, has rank B."""
     if B == 0:
         return True
-    gf = gf or GF()
     return collector_rank(state, dc, gf) >= B
 
 
@@ -197,7 +201,7 @@ def achievability_experiment(cfg: SimConfig,
     else:
         raise ValueError(f"unknown instance source {instance_source!r}")
 
-    gf = GF(cfg.field_w)
+    gf = field(cfg.field_w)
     collectors = sorted(enumerate_collectors(inst),
                         key=lambda dc: (dc.s, tuple(sorted(dc.K))))
     cuts = {dc: max_flow_min_cut(build_graph(inst, dc)).value
@@ -207,10 +211,10 @@ def achievability_experiment(cfg: SimConfig,
     violations = []
     for t in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{t}")
-        state = init_storage(cfg, rng)
+        state = init_storage(cfg, rng, gf)
         per_round_state = {0: state}
         for rnd in inst.rounds:
-            state = run_repair_round(state, rnd, cfg, rng)
+            state = run_repair_round(state, rnd, cfg, rng, gf)
             per_round_state[rnd.s] = state
         for dc in collectors:
             rank = collector_rank(per_round_state[dc.s], dc, gf)

@@ -86,6 +86,14 @@ class TestMincut:
                          str(tmp_path / "nope.json"))
         assert code == cli.EXIT_USAGE
 
+    def test_zero_limit_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "mincut", *BASE, "--alpha", "1",
+                             "--beta", "1", "--limit", "0")
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "limit must be at least 1" in err
+        assert "Traceback" not in err
+
 
 class TestTightness:
     def test_certifies(self, capsys):

@@ -134,6 +134,12 @@ class TestStorageCapacity:
         report = storage_capacity(p, limit=3, canonical=False)
         assert report.truncated
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, limit):
+        p = SystemParams(5, 2, 3, 1, Fraction(1), Fraction(1), 1)
+        with pytest.raises(ValueError, match="limit"):
+            storage_capacity(p, limit=limit)
+
     def test_never_below_bound(self):
         rng = random.Random(31)
         for _ in range(6):

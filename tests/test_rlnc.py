@@ -7,7 +7,7 @@ from wdss import _kernels_py
 from wdss.demo import example_instance
 from wdss.model import DataCollectorSpec, SystemParams
 from wdss.rlnc import (GF, SimConfig, achievability_experiment,
-                       collector_rank, dc_decodable, init_storage,
+                       collector_rank, dc_decodable, field, init_storage,
                        run_repair_round)
 
 
@@ -94,7 +94,7 @@ class TestRank:
 class TestSimulation:
     def test_init_storage_shape(self):
         cfg = SimConfig(int_params(), B=5, seed=3)
-        state = init_storage(cfg, random.Random(0))
+        state = init_storage(cfg, random.Random(0), field(8))
         assert sorted(state) == list(range(1, 9))
         assert all(len(pkts) == 2 and len(pkts[0]) == 5
                    for pkts in state.values())
@@ -104,35 +104,52 @@ class TestSimulation:
         cfg = SimConfig(int_params(alpha=2, T=0), B=6, seed=5)
         ok = 0
         for t in range(100):
-            state = init_storage(cfg, random.Random(f"t{t}"))
+            state = init_storage(cfg, random.Random(f"t{t}"), field(8))
             if dc_decodable(state, DataCollectorSpec(0, frozenset({1, 2, 3})),
-                            6, GF(8)):
+                            6, field(8)):
                 ok += 1
         assert ok >= 99
 
+    def test_wide_field_decodes_over_its_own_field(self):
+        # GF(2^16) data holds entries past GF(2^8), so it must be ranked
+        # over the field it was coded with
+        cfg = SimConfig(int_params(alpha=2, T=0), B=6, field_w=16, seed=5)
+        dc = DataCollectorSpec(0, frozenset({1, 2, 3}))
+        state = init_storage(cfg, random.Random("w16"), field(16))
+        assert max(v for pkts in state.values() for p in pkts for v in p) > 255
+        assert dc_decodable(state, dc, 6, field(16))
+        with pytest.raises(IndexError):
+            dc_decodable(state, dc, 6, field(8))
+
+    def test_field_is_built_once_per_width(self):
+        assert field(16) is field(16)
+        assert field(4) is not field(8)
+        assert field(8).order == 256
+
     def test_zero_alpha_cannot_decode(self):
         cfg = SimConfig(int_params(alpha=0, beta=1, T=0), B=1, seed=0)
-        state = init_storage(cfg, random.Random(0))
+        state = init_storage(cfg, random.Random(0), field(8))
         assert not dc_decodable(state, DataCollectorSpec(0, frozenset({1, 2, 3})),
-                                1, GF(8))
+                                1, field(8))
 
     def test_b_zero_always_decodable(self):
         cfg = SimConfig(int_params(T=0), B=0, seed=0)
-        state = init_storage(cfg, random.Random(0))
-        assert dc_decodable(state, DataCollectorSpec(0, frozenset({1, 2, 3})), 0)
+        state = init_storage(cfg, random.Random(0), field(8))
+        assert dc_decodable(state, DataCollectorSpec(0, frozenset({1, 2, 3})), 0,
+                            field(8))
 
     def test_b_above_k_alpha_never_decodable(self):
         cfg = SimConfig(int_params(), B=7, seed=0)  # k*alpha = 6 < 7
-        state = init_storage(cfg, random.Random(0))
+        state = init_storage(cfg, random.Random(0), field(8))
         assert not dc_decodable(state, DataCollectorSpec(0, frozenset({1, 2, 3})),
-                                7, GF(8))
+                                7, field(8))
 
     def test_zero_beta_newcomers_store_nothing(self):
         cfg = SimConfig(int_params(beta=0), B=4, seed=0)
         rng = random.Random(0)
-        state = init_storage(cfg, rng)
+        state = init_storage(cfg, rng, field(8))
         state = run_repair_round(state, example_instance(2, 0).rounds[0],
-                                 cfg, rng)
+                                 cfg, rng, field(8))
         assert all(all(v == 0 for v in pkt)
                    for j in (9, 10) for pkt in state[j])
 
@@ -140,23 +157,22 @@ class TestSimulation:
         # d*beta = 4 received packets but alpha = 6 stored
         cfg = SimConfig(int_params(alpha=6, beta=1), B=8, seed=0)
         rng = random.Random(1)
-        state = init_storage(cfg, rng)
+        state = init_storage(cfg, rng, field(8))
         state = run_repair_round(state, example_instance(6, 1).rounds[0],
-                                 cfg, rng)
-        gf = GF(8)
-        assert gf.rank(state[9]) <= 4
+                                 cfg, rng, field(8))
+        assert field(8).rank(state[9]) <= 4
 
     def test_inactive_helper_rejected(self):
         from wdss.model import RepairRound
         cfg = SimConfig(int_params(), B=5, seed=0)
         rng = random.Random(0)
-        state = init_storage(cfg, rng)
+        state = init_storage(cfg, rng, field(8))
         inst = example_instance(2, 1)
-        state = run_repair_round(state, inst.rounds[0], cfg, rng)
+        state = run_repair_round(state, inst.rounds[0], cfg, rng, field(8))
         bad = RepairRound(2, frozenset({8, 10}), frozenset({11, 12}),
                           frozenset({5, 3, 4, 7}))  # node 5 already failed
         with pytest.raises(ValueError):
-            run_repair_round(state, bad, cfg, rng)
+            run_repair_round(state, bad, cfg, rng, field(8))
 
     def test_requires_integer_amounts(self):
         with pytest.raises(ValueError):
